@@ -68,6 +68,9 @@ class DensitySurface:
         if np.any(self.values < -1e-12):
             raise ValueError("densities must be non-negative")
 
+    # ``times`` object the map in ``_time_index`` was built from, and the map.
+    _time_lookup = (None, {})
+
     # ------------------------------------------------------------------ #
     # Slicing
     # ------------------------------------------------------------------ #
@@ -78,6 +81,24 @@ class DensitySurface:
         return int(matches[0])
 
     def _time_index(self, time: float) -> int:
+        """Row of the first time ``np.isclose`` to ``time``.
+
+        Exact hits go through a map from each stored time to the row the
+        ``isclose`` scan returns for it, rebuilt whenever ``times`` is
+        reassigned; other values fall back to the scan itself.
+        """
+        source, lookup = self._time_lookup
+        if source is not self.times:
+            stored = np.asarray(self.times, dtype=float)
+            # Row i is the scan for stored[i]: isclose(times, stored[i]).
+            close = np.isclose(stored[None, :], stored[:, None])
+            rows = zip(stored.tolist(), close.argmax(axis=1).tolist(), close.any(axis=1))
+            lookup = {value: first for value, first, found in rows if found}
+            self._time_lookup = (self.times, lookup)
+        try:
+            return lookup[time]
+        except (KeyError, TypeError):
+            pass
         matches = np.nonzero(np.isclose(self.times, time))[0]
         if matches.size == 0:
             raise KeyError(f"time {time} is not in the surface")

@@ -541,6 +541,9 @@ def calibrate_dl_model_batched(
         ],
         "best_start": multi.best_start,
         "iterations": multi.iterations,
+        "converged": [bool(flag) for flag in multi.converged],
+        "stalled": [bool(flag) for flag in multi.stalled],
+        "hit_iteration_cap": [bool(flag) for flag in multi.hit_iteration_cap],
         "n_evaluations": multi.n_evaluations,
         "seconds": refinement_seconds,
     }

@@ -215,21 +215,44 @@ class DiffusiveLogisticModel:
 _SPATIALLY_UNIFORM_RATES = (ConstantGrowthRate, ExponentialDecayGrowthRate)
 
 
+def _spread_like(states: np.ndarray, row: "Sequence[float] | np.ndarray") -> np.ndarray:
+    """A matrix shaped and laid out like ``states`` whose rows all equal ``row``."""
+    matrix = np.empty_like(states)
+    matrix[...] = row
+    return matrix
+
+
 def _build_batch_reaction(parameter_sets: "Sequence[DLParameters]"):
     """Vectorised logistic reaction ``r_j(t) * U_j * (1 - U_j / K_j)``.
 
     When every growth rate is spatially uniform (the paper's setting) the
     per-column rates collapse to one scalar per column and the whole reaction
-    is a single broadcast expression; otherwise each column's rate profile is
-    evaluated separately (still one call per step, not per solve).
+    is a single elementwise expression.  Those rates depend on the time
+    only, so they are evaluated once per distinct time: a Crank-Nicolson
+    step evaluates the reaction at its start time once and at its end time
+    on every Picard iteration, so the two latest times are kept.  Rates and
+    capacities are spread to full matrices shaped and laid out like the
+    state, which multiply faster than broadcast rows.  Otherwise each
+    column's rate profile is evaluated separately (still one call per step,
+    not per solve).
     """
     capacities = np.asarray([p.carrying_capacity for p in parameter_sets])
     if all(isinstance(p.growth_rate, _SPATIALLY_UNIFORM_RATES) for p in parameter_sets):
         growth_rates = [p.growth_rate for p in parameter_sets]
+        rates_at: "dict[float, np.ndarray]" = {}
+        limits: "list[np.ndarray]" = []
 
         def reaction(states: np.ndarray, positions: np.ndarray, time: float) -> np.ndarray:
-            rates = np.asarray([rate.at_time(time) for rate in growth_rates])
-            return rates[None, :] * states * (1.0 - states / capacities[None, :])
+            rates = rates_at.get(time)
+            if rates is None:
+                if len(rates_at) > 1:
+                    del rates_at[next(iter(rates_at))]
+                rates = rates_at[time] = _spread_like(
+                    states, [rate.at_time(time) for rate in growth_rates]
+                )
+            if not limits:
+                limits.append(_spread_like(states, capacities))
+            return rates * states * (1.0 - states / limits[0])
 
         return reaction
 

@@ -12,9 +12,19 @@ registry in this module.  Two backends ship with the package:
   solve per distinct diffusion rate -- O(n) memory and O(n) work per step --
   with the factorizations shared through
   :mod:`repro.numerics.operator_cache` across steps, solves and calibration
-  candidates.  The ``operator_mode`` knob (``"banded"`` by default, via
-  ``"auto"``) can force the pure-numpy ``"thomas"`` solver or the legacy
-  ``"dense"`` LU for cross-checking.
+  candidates, and resolved once per distinct ``dt`` per solve.  The engine
+  keeps its state *group-contiguous*: the columns are permuted once per
+  solve into diffusion-group order in a Fortran-ordered matrix, so each
+  group's right-hand sides are one contiguous block handed straight to its
+  factorization, and the problem's column order is restored only when
+  outputs are written (and for the reaction term, when groups interleave).
+  Reactions built by :func:`repro.core.dl_model.solve_dl_batch` memoise
+  r(t) per distinct time, so a step's Picard iterations do not re-evaluate
+  it.  Each solve reports ``picard_iterations`` (total) and
+  ``nonconverged_steps`` (steps that ran out of Picard iterations with a
+  column still changing) in its metadata.  The ``operator_mode`` knob
+  (``"banded"`` by default, via ``"auto"``) can force the pure-numpy
+  ``"thomas"`` solver or the legacy ``"dense"`` LU for cross-checking.
 * ``"thomas"`` -- the internal engine pinned to the pure-numpy Thomas
   tridiagonal solver; a scipy-free fallback for the Crank-Nicolson hot path.
 * ``"scipy"`` -- :func:`scipy.integrate.solve_ivp` (LSODA), used for
@@ -241,6 +251,8 @@ class InternalBackend(SolverBackend):
                     "max_step": max_step,
                     "operator": batch_solution.metadata["operator"],
                     "operator_cache": True,
+                    "picard_iterations": batch_solution.metadata["picard_iterations"],
+                    "nonconverged_steps": batch_solution.metadata["nonconverged_steps"],
                 },
             )
         return self._solve_stepping(problem, times, integrator, max_step)
@@ -337,6 +349,19 @@ class InternalBackend(SolverBackend):
         tolerance: float,
         max_iterations: int,
     ) -> BatchPDESolution:
+        """IMEX Crank-Nicolson steps for every column of ``problem`` at once.
+
+        Each step matches the sequential integrator's Picard iteration per
+        column: a column keeps updating until its own change drops below
+        ``tolerance``, then freezes, so batched trajectories are identical to
+        sequential ones regardless of how the rest of the batch converges.
+
+        The working state holds the columns in diffusion-group order (groups
+        in order of first appearance, Fortran-ordered), so every group is one
+        contiguous block of right-hand sides; the problem's column order is
+        restored only for the reaction term when groups interleave and when
+        writing outputs.
+        """
         grid = problem.grid
         num_points = grid.num_points
         spacing = grid.spacing
@@ -351,44 +376,90 @@ class InternalBackend(SolverBackend):
             else None
         )
         rates = problem.diffusion_rates
-        # Columns sharing a diffusion rate share one LU factorization per dt.
-        unique_rates, group_of_column = np.unique(rates, return_inverse=True)
-        group_columns = [np.nonzero(group_of_column == g)[0] for g in range(unique_rates.size)]
-
-        states = problem.initial_states.copy()
-        current_time = problem.start_time
         batch = problem.batch_size
+        # Columns sharing a diffusion rate share one factorization per dt.
+        unique_rates, first_column, group_of_column = np.unique(
+            rates, return_index=True, return_inverse=True
+        )
+        # Groups in order of first appearance: calibration batches are already
+        # group-contiguous, so their permutation is the identity.
+        order = np.argsort(first_column[group_of_column], kind="stable")
+        group_starts = np.flatnonzero(np.diff(group_of_column[order], prepend=-1))
+        blocks = [
+            (float(rates[order[start]]), slice(start, stop))
+            for start, stop in zip(group_starts, [*group_starts[1:], batch])
+        ]
+        column_rates = rates[order]
+        reaction = problem.reaction
+        inverse = None
+        if np.any(order != np.arange(batch)):
+            inverse = np.argsort(order)
+            reaction = _reordered_reaction(problem.reaction, order, inverse)
+
+        states = np.asfortranarray(problem.initial_states[:, order])
+        candidate = np.empty_like(states)
+        factors_by_dt: "dict[float, list]" = {}
+        current_time = problem.start_time
 
         outputs = np.empty((times.size, num_points, batch))
         output_index = 0
         while output_index < times.size and abs(times[output_index] - current_time) < _TIME_EPS:
-            outputs[output_index] = states
+            outputs[output_index] = states if inverse is None else states[:, inverse]
             output_index += 1
 
         steps_taken = 0
+        picard_iterations = 0
+        nonconverged_steps = 0
         while output_index < times.size:
             target = times[output_index]
             while current_time < target - _TIME_EPS:
                 dt = min(max_step, target - current_time)
-                states = self._crank_nicolson_step_batch(
-                    states,
-                    current_time,
-                    dt,
-                    laplacian,
-                    rates,
-                    unique_rates,
-                    group_columns,
-                    problem.reaction,
-                    nodes,
-                    num_points,
-                    spacing,
-                    tolerance,
-                    max_iterations,
-                    operator_mode,
-                )
+                factors = factors_by_dt.get(dt)
+                if factors is None:
+                    factors = factors_by_dt[dt] = [
+                        (
+                            operator_cache.crank_nicolson_operator(
+                                num_points, spacing, dt, rate, operator_mode
+                            ),
+                            block,
+                        )
+                        for rate, block in blocks
+                    ]
+                half_dt = 0.5 * dt
+                if laplacian is None:
+                    diffusion_term = second_derivative(states, spacing) * column_rates
+                else:
+                    diffusion_term = (laplacian @ states) * column_rates
+                explicit_part = states + half_dt * diffusion_term
+                reaction_old = reaction(states, nodes, current_time)
+                new_time = current_time + dt
+
+                new_states = states.copy(order="F")
+                active = np.ones(batch, dtype=bool)
+                remaining = batch
+                for _ in range(max_iterations):
+                    picard_iterations += 1
+                    reaction_new = reaction(new_states, nodes, new_time)
+                    rhs = explicit_part + half_dt * (reaction_old + reaction_new)
+                    for factor, block in factors:
+                        candidate[:, block] = factor.solve(rhs[:, block])
+                    change = np.abs(candidate - new_states).max(axis=0)
+                    # Boolean-mask copies cost more than the whole update,
+                    # so they wait until a column has frozen.
+                    if remaining == batch:
+                        new_states[...] = candidate
+                    else:
+                        new_states[:, active] = candidate[:, active]
+                    active &= change >= tolerance
+                    remaining = np.count_nonzero(active)
+                    if not remaining:
+                        break
+                else:  # the cap ran out with a column still changing
+                    nonconverged_steps += 1
+                states = new_states
                 current_time += dt
                 steps_taken += 1
-            outputs[output_index] = states
+            outputs[output_index] = states if inverse is None else states[:, inverse]
             output_index += 1
 
         return BatchPDESolution(
@@ -404,60 +475,27 @@ class InternalBackend(SolverBackend):
                 "max_step": max_step,
                 "batch_size": batch,
                 "diffusion_groups": int(unique_rates.size),
+                "picard_iterations": picard_iterations,
+                "nonconverged_steps": nonconverged_steps,
             },
         )
 
-    @staticmethod
-    def _crank_nicolson_step_batch(
-        states: np.ndarray,
-        time: float,
-        dt: float,
-        laplacian: "np.ndarray | None",
-        rates: np.ndarray,
-        unique_rates: np.ndarray,
-        group_columns: "list[np.ndarray]",
-        reaction: "Callable[[np.ndarray, np.ndarray, float], np.ndarray]",
-        nodes: np.ndarray,
-        num_points: int,
-        spacing: float,
-        tolerance: float,
-        max_iterations: int,
-        operator_mode: str,
-    ) -> np.ndarray:
-        """One IMEX Crank-Nicolson step for every column at once.
 
-        Matches the sequential integrator's Picard iteration per column: a
-        column keeps updating until its own change drops below ``tolerance``,
-        then freezes, so batched trajectories are identical to sequential
-        ones regardless of how the rest of the batch converges.
-        """
-        factors = [
-            operator_cache.crank_nicolson_operator(
-                num_points, spacing, dt, float(rate), operator_mode
-            )
-            for rate in unique_rates
-        ]
-        if laplacian is None:
-            diffusion_term = second_derivative(states, spacing) * rates[None, :]
-        else:
-            diffusion_term = (laplacian @ states) * rates[None, :]
-        explicit_part = states + 0.5 * dt * diffusion_term
-        reaction_old = reaction(states, nodes, time)
+def _reordered_reaction(
+    reaction: "Callable[[np.ndarray, np.ndarray, float], np.ndarray]",
+    order: np.ndarray,
+    inverse: np.ndarray,
+) -> "Callable[[np.ndarray, np.ndarray, float], np.ndarray]":
+    """``reaction`` for states whose columns are permuted by ``order``.
 
-        new_states = states.copy()
-        candidate = np.empty_like(states)
-        active = np.ones(states.shape[1], dtype=bool)
-        for _ in range(max_iterations):
-            reaction_new = reaction(new_states, nodes, time + dt)
-            rhs = explicit_part + 0.5 * dt * (reaction_old + reaction_new)
-            for factor, columns in zip(factors, group_columns):
-                candidate[:, columns] = factor.solve(rhs[:, columns])
-            change = np.max(np.abs(candidate - new_states), axis=0)
-            new_states[:, active] = candidate[:, active]
-            active &= change >= tolerance
-            if not active.any():
-                break
-        return new_states
+    The batch reaction is written for the problem's column order; this
+    evaluates it there and returns the result in the permuted order.
+    """
+
+    def reordered(states: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
+        return reaction(states[:, inverse], x, t)[:, order]
+
+    return reordered
 
 
 def _as_batch_of_one(problem: ReactionDiffusionProblem) -> BatchReactionDiffusionProblem:

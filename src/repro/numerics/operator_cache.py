@@ -142,7 +142,7 @@ class BandedFactorization:
             self._tiny = ThomasFactorization(sub, diag, sup)
             return
         try:
-            from scipy.linalg.lapack import dgttrf
+            from scipy.linalg.lapack import dgttrf, dgttrs
         except ImportError:  # pragma: no cover - old scipy without the wrapper
             return
         dl, d, du, du2, ipiv, info = dgttrf(sub, diag, sup)
@@ -151,6 +151,7 @@ class BandedFactorization:
                 f"tridiagonal factorization failed (gttrf info={info})"
             )
         self._factor = (dl, d, du, du2, ipiv)
+        self._gttrs = dgttrs
 
     @property
     def nbytes(self) -> int:
@@ -171,11 +172,7 @@ class BandedFactorization:
             ab[1, :] = diag
             ab[2, :-1] = sub
             return solve_banded((1, 1), ab, rhs)
-        from scipy.linalg.lapack import dgttrs
-
-        dl, d, du, du2, ipiv = self._factor
-        rhs = np.asarray(rhs, dtype=float)
-        solution, info = dgttrs(dl, d, du, du2, ipiv, rhs)
+        solution, info = self._gttrs(*self._factor, np.asarray(rhs, dtype=float))
         if info != 0:  # pragma: no cover - cannot happen for a valid factorization
             raise np.linalg.LinAlgError(f"tridiagonal solve failed (gttrs info={info})")
         return solution

@@ -170,7 +170,15 @@ class MultiStartFitResult:
     n_evaluations:
         Total number of residual evaluations (rows passed to the callback).
     converged:
-        Per-start convergence flags.
+        Per-start convergence flags: the projected gradient, accepted step
+        or loss improvement fell below its tolerance.
+    stalled:
+        Per-start flags for starts that stopped because every damping
+        escalation of an iteration failed to decrease the loss; they end at
+        their best-known point but are not counted as converged.
+    hit_iteration_cap:
+        Per-start flags for starts still iterating when ``max_iterations``
+        ran out.
     """
 
     best: FitResult
@@ -180,6 +188,8 @@ class MultiStartFitResult:
     iterations: int
     n_evaluations: int
     converged: np.ndarray
+    stalled: np.ndarray
+    hit_iteration_cap: np.ndarray
 
 
 def multi_start_least_squares(
@@ -225,7 +235,7 @@ def multi_start_least_squares(
         improvement falls below the corresponding tolerance.
     max_step_retries:
         Damping escalations tried per iteration before a start is declared
-        stalled.
+        stalled (see :attr:`MultiStartFitResult.stalled`).
     """
     points = np.array(seeds, dtype=float)
     if points.ndim != 2 or points.size == 0:
@@ -253,6 +263,7 @@ def multi_start_least_squares(
     damping = np.full(n_starts, 1e-3)
     active = np.isfinite(losses)
     converged = np.zeros(n_starts, dtype=bool)
+    stalled = np.zeros(n_starts, dtype=bool)
     iterations = 0
 
     for _ in range(max_iterations):
@@ -335,10 +346,10 @@ def multi_start_least_squares(
                     still_pending.append(s)
             pending = still_pending
         for s in pending:
-            # Damping exhausted without an accepted step: treat as converged
-            # at the current (best-known) point.
+            # Damping exhausted without an accepted step: the start stops at
+            # its current (best-known) point, stalled rather than converged.
             active[s] = False
-            converged[s] = True
+            stalled[s] = True
 
     finite = np.where(np.isfinite(losses), losses, np.inf)
     best_start = int(np.argmin(finite))
@@ -363,6 +374,8 @@ def multi_start_least_squares(
         iterations=iterations,
         n_evaluations=n_evaluations,
         converged=converged,
+        stalled=stalled,
+        hit_iteration_cap=active,
     )
 
 

@@ -176,6 +176,69 @@ class TestDensitySurfaceType:
             )
 
 
+def isclose_scan(times, time):
+    """The row lookup as a plain first-``np.isclose`` scan (the map's oracle)."""
+    matches = np.nonzero(np.isclose(times, time))[0]
+    if matches.size == 0:
+        raise KeyError(time)
+    return int(matches[0])
+
+
+class TestTimeIndexMap:
+    def _surface(self, times):
+        times = np.asarray(times, dtype=float)
+        return DensitySurface(
+            distances=[1, 2],
+            times=times,
+            values=np.arange(2.0 * times.size).reshape(times.size, 2),
+            group_sizes=[1, 1],
+        )
+
+    def test_near_duplicate_times_resolve_like_isclose(self):
+        times = [1.0, 1.0 + 1e-10, 2.0]
+        surface = self._surface(times)
+        for time in times + [1.0 - 1e-10, 2.0 + 1e-9]:
+            assert surface._time_index(time) == isclose_scan(times, time)
+        # Both near-duplicates land on the first of them, as the scan does.
+        assert surface._time_index(1.0 + 1e-10) == 0
+        assert np.array_equal(surface.profile(1.0 + 1e-10), surface.values[0])
+
+    def test_agrees_with_isclose_on_every_stored_and_nearby_time(self):
+        times = np.concatenate([np.arange(1.0, 51.0), [1e5, 1e5 + 0.5]])
+        surface = self._surface(times)
+        for time in np.concatenate([times, times + 1e-9, times + 0.25]):
+            try:
+                expected = isclose_scan(times, time)
+            except KeyError:
+                with pytest.raises(KeyError):
+                    surface._time_index(time)
+            else:
+                assert surface._time_index(time) == expected
+
+    def test_follows_reassigned_times(self):
+        surface = self._surface([1.0, 2.0, 3.0])
+        assert surface._time_index(3.0) == 2
+        surface.times = np.array([3.0, 4.0, 5.0])
+        assert surface._time_index(3.0) == 0
+        assert surface._time_index(5.0) == 2
+        with pytest.raises(KeyError):
+            surface._time_index(1.0)
+
+    def test_missing_times_raise_key_error(self):
+        surface = self._surface([1.0, 2.0])
+        for time in (3.0, 1.5, float("nan")):
+            with pytest.raises(KeyError):
+                surface._time_index(time)
+        with pytest.raises(KeyError):
+            surface.profile(7.0)
+
+    def test_integer_and_numpy_scalar_queries(self):
+        surface = self._surface([1.0, 2.0])
+        assert surface._time_index(2) == 1
+        assert surface._time_index(np.float64(2.0)) == 1
+        assert surface._time_index(np.array(2.0)) == 1
+
+
 # --------------------------------------------------------------------------- #
 # Property-based tests on randomly generated cascades.
 # --------------------------------------------------------------------------- #

@@ -196,6 +196,15 @@ class TestBatchedCalibration:
         # Seeds prefer distinct diffusion rates before duplicating one.
         assert len(set(refinement["seed_diffusions"][:3])) == 3
         assert result.details["refined"] in (True, False)
+        # Every start ends in exactly one way: converged, stalled, or still
+        # iterating when the iteration cap ran out.
+        outcomes = zip(
+            refinement["converged"], refinement["stalled"], refinement["hit_iteration_cap"]
+        )
+        assert [sum(flags) for flags in outcomes] == [1] * 4
+        growth_fit = result.details.get("growth_rate_fit")
+        if growth_fit is not None:
+            assert growth_fit.success == refinement["converged"][refinement["best_start"]]
 
     def test_refine_starts_configurable_and_validated(self):
         surface = synthetic_dl_surface()

@@ -197,6 +197,53 @@ class TestMultiStartLeastSquares:
         with pytest.raises(RuntimeError):
             multi_start_least_squares(nan_batch, [[1.0]])
 
+    def test_stalled_start_is_not_counted_as_converged(self):
+        # The loss is lowest exactly at the seed and jumps everywhere else, so
+        # the forward-difference gradient stays large while every damped step
+        # is rejected: damping runs out without an accepted step.
+        seed = 1.0
+
+        def residual(theta):
+            return np.array([1.0 if theta[0] == seed else 2.0])
+
+        result = multi_start_least_squares(batch_wrap(residual), [[seed]])
+        assert result.stalled.tolist() == [True]
+        assert result.converged.tolist() == [False]
+        assert result.hit_iteration_cap.tolist() == [False]
+        assert result.best.success is False
+        assert result.iterations == 1
+        # Stopping early leaves the start at its best-known point.
+        assert result.best.parameters.tolist() == [seed]
+        assert result.best.loss == pytest.approx(0.5)
+
+    def test_stalled_and_converged_starts_are_told_apart(self):
+        def residual(theta):
+            if theta[0] < 0.0:
+                return np.array([1.0 if theta[0] == -1.0 else 2.0])
+            return np.array([theta[0] - 2.0])
+
+        result = multi_start_least_squares(batch_wrap(residual), [[-1.0], [0.5]])
+        assert result.stalled.tolist() == [True, False]
+        assert result.converged.tolist() == [False, True]
+        assert result.best_start == 1
+        assert result.best.success is True
+
+    def test_iteration_cap_is_reported(self):
+        x = np.linspace(0.0, 3.0, 25)
+        target = 1.3 * np.exp(-0.7 * x)
+
+        def residual(theta):
+            return theta[0] * np.exp(-theta[1] * x) - target
+
+        result = multi_start_least_squares(
+            batch_wrap(residual), [[0.5, 0.1], [2.0, 2.0]], max_iterations=2
+        )
+        assert result.iterations == 2
+        assert result.hit_iteration_cap.tolist() == [True, True]
+        assert not result.converged.any()
+        assert not result.stalled.any()
+        assert result.best.success is False
+
 
 class TestGridSearch:
     def test_finds_minimum_of_quadratic(self):
